@@ -81,15 +81,6 @@ impl From<qcat_sql::NormalizeError> for ExecError {
 /// Execute a SQL string against a catalog, choosing scan vs. index
 /// automatically.
 pub fn execute(catalog: &Catalog, sql: &str) -> Result<ResultSet, ExecError> {
-    execute_with(catalog, sql, AccessPath::Auto)
-}
-
-/// Execute a SQL string against a catalog along a chosen access path.
-pub fn execute_with(
-    catalog: &Catalog,
-    sql: &str,
-    path: AccessPath,
-) -> Result<ResultSet, ExecError> {
     let ast = {
         let _span = qcat_obs::span!("sql.parse", bytes = sql.len());
         parse_select(sql)?
@@ -99,7 +90,7 @@ pub fn execute_with(
         let _span = qcat_obs::span!("sql.normalize", has_predicate = ast.predicate.is_some());
         qcat_sql::normalize::normalize(&ast, relation.schema())?
     };
-    execute_normalized_with(&relation, &normalized, path)
+    execute_normalized(&relation, &normalized)
 }
 
 /// Execute an already-normalized query against its relation, choosing
@@ -287,11 +278,6 @@ impl Executor {
     /// Run a query.
     pub fn query(&self, sql: &str) -> Result<ResultSet, ExecError> {
         execute(&self.catalog, sql)
-    }
-
-    /// Run a query along a chosen access path.
-    pub fn query_with(&self, sql: &str, path: AccessPath) -> Result<ResultSet, ExecError> {
-        execute_with(&self.catalog, sql, path)
     }
 }
 

@@ -14,7 +14,7 @@ pub mod result;
 
 pub use executor::{
     execute, execute_normalized, execute_normalized_with, execute_normalized_with_threads,
-    execute_residual, execute_with, ExecError, Executor,
+    execute_residual, ExecError, Executor,
 };
 pub use plan::{AccessPath, PlanExplain};
 pub use result::ResultSet;

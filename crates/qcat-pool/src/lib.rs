@@ -47,6 +47,12 @@ use std::sync::mpsc;
 use std::sync::OnceLock;
 use std::thread;
 
+/// Process-wide worker counter. Trace lines are labelled by thread
+/// name, and pools run concurrently (a speculation pass's workers each
+/// categorize with a pool of their own), so every worker thread gets a
+/// name no other live worker has.
+static WORKER_SEQ: AtomicUsize = AtomicUsize::new(1);
+
 /// Resolve a requested thread count to an effective one.
 ///
 /// `requested > 0` is taken literally. `0` means auto: `QCAT_THREADS`
@@ -260,12 +266,13 @@ impl ThreadPool {
         out.resize_with(n, || None);
         let mut first_err: Option<(usize, PoolError)> = None;
         thread::scope(|scope| {
-            for w in 1..workers {
+            for _ in 1..workers {
                 let tx = tx.clone();
                 let run = &run;
                 let ctx = ctx.clone();
                 let recorder = recorder.clone();
-                let builder = thread::Builder::new().name(format!("qcat-pool-{w}"));
+                let id = WORKER_SEQ.fetch_add(1, Ordering::Relaxed);
+                let builder = thread::Builder::new().name(format!("qcat-pool-{id}"));
                 builder
                     .spawn_scoped(scope, move || {
                         let work = || ctx.scope(|| parent.scope(|| run(tx)));

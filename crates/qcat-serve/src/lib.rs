@@ -32,9 +32,12 @@
 //! *subsumes* the new one (`qcat_sql::subsumes`), its rows are
 //! post-filtered with the residual conjuncts instead — byte-identical
 //! to cold execution at a fraction of the cost. Cached trees depend
-//! on the workload statistics; [`Server::log_queries`] rebuilds them
-//! and bumps the table's **epoch**, which lazily invalidates all of
-//! that table's entries (see [`cache::EpochLru`]).
+//! on the workload statistics; [`Server::log_queries`] extends them
+//! and bumps the table's **stats epoch**, which lazily invalidates
+//! that table's cached trees (see [`cache::EpochLru`]). Cached result
+//! sets survive it: row ids do not depend on the workload. An append
+//! ([`Server::append_rows`]) evicts exactly the entries whose
+//! predicates may match an appended row.
 //!
 //! The same workload log also *forecasts*: [`Server::speculate`]
 //! precomputes and pins the hottest queries' trees from a background
@@ -147,7 +150,7 @@ mod tests {
             &schema(),
         )
         .unwrap();
-        s.log_queries("homes", vec![new]).unwrap();
+        s.log_queries("homes", vec![new.clone()]).unwrap();
         assert_eq!(s.epoch("homes"), Some(1));
 
         // The cached tree is stale (trees depend on the statistics),
@@ -157,6 +160,45 @@ mod tests {
         assert_eq!(again.outcome, ServeOutcome::ResultCacheHit);
         // And the refreshed entry serves the new epoch.
         assert_eq!(s.serve(sql).unwrap().outcome, ServeOutcome::TreeCacheHit);
+
+        // A refused absorb leaves the log and the epoch as they were.
+        let (len_before, _) = s.log_probe("homes").unwrap();
+        let refused =
+            parse_and_normalize("SELECT * FROM homes WHERE price <= 180000", &schema()).unwrap();
+        let plan = qcat_fault::FaultPlan::parse("workload.stats.delta:error").unwrap();
+        let err =
+            qcat_fault::with_plan(&plan, || s.log_queries("homes", vec![refused]).unwrap_err());
+        assert!(matches!(
+            err,
+            qcat_data::DataError::Fault {
+                site: "workload.stats.delta"
+            }
+        ));
+        assert_eq!(s.log_probe("homes").unwrap().0, len_before);
+        assert_eq!(s.epoch("homes"), Some(1));
+        assert_eq!(s.serve(sql).unwrap().outcome, ServeOutcome::TreeCacheHit);
+
+        // Two successful `log_queries` calls leave the log and its
+        // speculation ranking exactly as one log built from scratch.
+        let more: Vec<_> = [
+            "SELECT * FROM homes WHERE bedroomcount IN (4, 5)",
+            "SELECT * FROM homes WHERE neighborhood IN ('Redmond')",
+        ]
+        .iter()
+        .map(|q| parse_and_normalize(q, &schema()).unwrap())
+        .collect();
+        s.log_queries("homes", more.clone()).unwrap();
+        let relation = homes(200);
+        let prep = PreprocessConfig::new().infer_missing(&relation, 20);
+        let mut log = workload();
+        log.extend(std::iter::once(new).chain(more));
+        let scratch = Server::new(ServerConfig::default());
+        scratch
+            .register_table("homes", relation, log, prep)
+            .unwrap();
+        let (len, ranking) = s.log_probe("homes").unwrap();
+        assert_eq!(len, 7);
+        assert_eq!((len, ranking), scratch.log_probe("homes").unwrap());
     }
 
     #[test]
@@ -321,25 +363,33 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bump_baseline_evicts_disjoint_entries_too() {
-        let relation = homes(200);
+    fn append_counts_only_entries_still_cached() {
+        let relation = homes(500);
         let prep = PreprocessConfig::new().infer_missing(&relation, 20);
         let s = Server::new(ServerConfig {
-            selective_invalidation: false,
+            result_cache_bytes: 3000,
+            tree_cache_bytes: 0,
             ..ServerConfig::default()
         });
         s.register_table("homes", relation, workload(), prep)
             .unwrap();
-        let q_hood = "SELECT * FROM homes WHERE neighborhood IN ('Redmond')";
-        s.serve(q_hood).unwrap();
+        for lo in [1, 2, 3, 4] {
+            s.serve(&format!("SELECT * FROM homes WHERE bedroomcount >= {lo}"))
+                .unwrap();
+        }
+        let (live, _) = s.cache_sizes();
+        assert!(
+            live < 4,
+            "the budget must have evicted some entries: {live}"
+        );
+        // No cached answer can match a zero-bedroom row, so every live
+        // entry is kept; the LRU-evicted ones are counted nowhere.
         let outcome = s
-            .append_rows("homes", &[append_row("Issaquah", 500_000.0, 2)])
+            .append_rows("homes", &[append_row("Redmond", 151_000.0, 0)])
             .unwrap();
-        assert_eq!((outcome.evicted, outcome.kept), (0, 0), "legacy mode is epoch-based");
-        // The batch provably cannot change this answer, but the
-        // whole-table bump kills it anyway — the retention gap the
-        // selective policy closes.
-        assert_eq!(s.serve(q_hood).unwrap().outcome, ServeOutcome::Cold);
+        assert_eq!(outcome.kept + outcome.evicted, live, "{outcome:?}");
+        assert_eq!((outcome.kept, outcome.evicted), (live, 0), "{outcome:?}");
+        assert_eq!(s.cache_sizes().0, live);
     }
 
     #[test]
@@ -497,6 +547,20 @@ mod tests {
         // full (and degrades again under the same hopeless budget).
         assert_eq!(s.cache_sizes(), (0, 0));
         assert_eq!(s.serve(sql).unwrap().outcome, ServeOutcome::Cold);
+    }
+
+    #[test]
+    fn heap_cap_counts_the_result_rows() {
+        let s = budgeted_server(qcat_fault::Budget::UNLIMITED.with_max_heap_bytes(64));
+        let sql = "SELECT * FROM homes WHERE price <= 400000";
+        let served = s.serve(sql).unwrap();
+        assert_eq!(served.tree.degraded(), Some(qcat_core::DegradeReason::Heap));
+        assert_eq!(served.rows, 0, "the row ids alone exceed the cap");
+        // The complete rows were cached; the same cap refuses them
+        // again on the result-cache path.
+        assert_eq!(s.cache_sizes(), (1, 0));
+        let again = s.serve(sql).unwrap();
+        assert_eq!(again.tree.degraded(), Some(qcat_core::DegradeReason::Heap));
     }
 
     #[test]

@@ -20,14 +20,6 @@ pub enum StudyScale {
     Standard,
     /// Close to the paper's data volume (1.7 M homes, 176 K queries).
     Paper,
-    /// Explicit sizes, for harnesses that need env-capped paper-scale
-    /// runs (the `scale: large` bench tier shrinks itself in CI).
-    Custom {
-        /// Rows in the homes table.
-        rows: usize,
-        /// Queries in the workload log.
-        queries: usize,
-    },
 }
 
 impl StudyScale {
@@ -37,7 +29,6 @@ impl StudyScale {
             StudyScale::Smoke => 6_000,
             StudyScale::Standard => 120_000,
             StudyScale::Paper => 1_700_000,
-            StudyScale::Custom { rows, .. } => rows,
         }
     }
 
@@ -47,7 +38,6 @@ impl StudyScale {
             StudyScale::Smoke => 2_000,
             StudyScale::Standard => 25_000,
             StudyScale::Paper => 176_262,
-            StudyScale::Custom { queries, .. } => queries,
         }
     }
 }

@@ -53,6 +53,12 @@ impl WorkloadLog {
         }
     }
 
+    /// Append already-normalized queries at the end of the log. The
+    /// existing queries are not copied and the skipped entries stay.
+    pub fn extend(&mut self, queries: impl IntoIterator<Item = NormalizedQuery>) {
+        self.queries.extend(queries);
+    }
+
     /// The usable queries.
     pub fn queries(&self) -> &[NormalizedQuery] {
         &self.queries
@@ -127,6 +133,14 @@ mod tests {
         assert_eq!(log.skipped().len(), 2);
         assert_eq!(log.skipped()[0].0, 1);
         assert_eq!(log.skipped()[1].0, 3);
+
+        // Extending appends queries and keeps the skipped entries.
+        let first = log.queries()[0].clone();
+        let mut log = log;
+        log.extend([first.clone()]);
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.queries()[2], first);
+        assert_eq!(log.skipped().len(), 2);
     }
 
     #[test]

@@ -159,11 +159,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(hot.map(|s| s.outcome), Some(ServeOutcome::TreeCacheHit));
     }
 
-    // 7. New workload arrivals rebuild statistics and bump the stats
-    //    epoch: every cached *tree* for the table goes stale (trees
-    //    depend on the probability estimates), but cached result sets
-    //    survive — the data did not change — so the repeat serve
-    //    re-renders its tree from the cached rows instead of
+    // 7. New workload arrivals are absorbed into the statistics and
+    //    bump the stats epoch: every cached *tree* for the table goes
+    //    stale (trees depend on the probability estimates), but cached
+    //    result sets survive — the data did not change — so the repeat
+    //    serve re-renders its tree from the cached rows instead of
     //    re-executing the query.
     let fresh = parse_and_normalize(
         "SELECT * FROM homes WHERE bedroomcount IN (4, 5)",

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate, as one entry point: build, lint, test, traced smoke
-# run. Everything runs offline — no dependency in the default build
-# resolves from a registry (see docs/LINTS.md, "Hermetic build").
+# Tier-1 gate, as one entry point: build, lint, test, benchmark
+# smoke, traced smoke run. Everything runs offline — no dependency in
+# the default build resolves from a registry (see docs/LINTS.md,
+# "Hermetic build").
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -9,7 +10,8 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --workspace"
 # --workspace: the root manifest is itself a package, so a bare
-# `cargo build` would skip the other members' binaries (bench_*).
+# `cargo build` would skip the other members' binaries (repro,
+# qcat-lint).
 cargo build --release --workspace
 
 echo "==> qcat-lint (L1-L10 + audit self-check)"
@@ -21,63 +23,21 @@ cargo test -q
 echo "==> cargo test -q --workspace (all crates)"
 cargo test -q --workspace
 
-echo "==> bench smoke (hermetic categorize benchmark)"
-./target/release/bench_categorize --runs 2 --cases 4 \
-    --out target/BENCH_smoke.json > /dev/null
-test -s target/BENCH_smoke.json
+echo "==> servebench self-tests (output checks at a tiny scale)"
+# servebench is the served-request benchmark BENCHMARK.json runs. It
+# is a package of its own, built against this checkout's crates.
+cargo test -q --release --manifest-path servebench/Cargo.toml
 
-echo "==> pipeline smoke (scan-vs-index differential + serve caches + chaos replay)"
-# bench_pipeline exits non-zero on any scan/index row-set mismatch or
-# any chaos-replay request that ends unaccounted; the greps
-# double-check the committed evidence in the report.
-./target/release/bench_pipeline --runs 2 --queries 100 \
-    --out target/BENCH_pipeline_smoke.json > /dev/null
-grep -q '"differential": .*"status": "ok"' target/BENCH_pipeline_smoke.json
-grep -q '"chaos": .*"status": "ok"' target/BENCH_pipeline_smoke.json
-
-echo "==> refinement smoke (containment differential + speculation contract)"
-# The same code path as the committed BENCH_pr9.json: drill-down
-# chains served off cached superset answers, every containment hit
-# compared byte-for-byte against a cleared-cache cold serve, and a
-# speculation pass whose fills must all be first-serve tree hits.
-# bench_pipeline exits non-zero if either contract breaks.
-./target/release/bench_pipeline --scale refinement --runs 2 \
-    --out target/BENCH_refine_smoke.json > /dev/null
-grep -q '"containment": .*"status": "ok"' target/BENCH_refine_smoke.json
-grep -q '"speculation": .*"status": "ok"' target/BENCH_refine_smoke.json
-
-echo "==> large-tier smoke (sharded data plane, env-capped to CI size)"
-# The same code path as the committed paper-scale BENCH_pr8.json —
-# sharded relation, morsel scans, per-shard index builds, pruning,
-# differential vs the single-shard truth — shrunk via the QCAT_LARGE_*
-# caps so it finishes in seconds. Exits non-zero on any row mismatch.
-QCAT_LARGE_ROWS=20000 QCAT_LARGE_QUERIES=2000 QCAT_LARGE_SHARD_ROWS=2048 \
-    ./target/release/bench_pipeline --scale large --runs 2 --queries 50 \
-    --out target/BENCH_large_smoke.json > /dev/null
-grep -q '"differential": .*"status": "ok"' target/BENCH_large_smoke.json
-grep -q '"determinism": .*"status": "ok"' target/BENCH_large_smoke.json
-
-echo "==> ingest smoke (append latency + selective invalidation retention)"
-# The same code path as the committed BENCH_pr10.json: two warmed
-# servers take identical append rounds; selective invalidation must
-# keep strictly more exact cache hits alive than the whole-table
-# epoch-bump baseline, and every answer the surviving caches serve
-# must be byte-identical to a from-scratch recompute. bench_pipeline
-# exits non-zero if either contract breaks.
-./target/release/bench_pipeline --scale ingest --runs 2 --queries 60 \
-    --out target/BENCH_ingest_smoke.json > /dev/null
-grep -q '"mismatches": 0, "status": "ok"' target/BENCH_ingest_smoke.json
-grep -q '"retention": .*"status": "ok"' target/BENCH_ingest_smoke.json
-
-echo "==> perf observatory (bench_report --check over committed BENCH_pr*.json)"
-# Trajectory tables land in the artifacts dir (uploaded by CI);
-# --check fails on cross-PR regressions beyond the default threshold.
+echo "==> servebench smoke (every workload, 2 s, output-checked)"
+# Each run checks served answers against a from-scratch recompute
+# (and, on ingest, cached answers against a cleared-cache serve) and
+# exits non-zero on any mismatch; set -e turns that into a failure.
 artifacts=target/qcat-artifacts
 mkdir -p "$artifacts"
-./target/release/bench_report --check --out "$artifacts/bench-trajectory.txt" > /dev/null
-# The large-tier smoke report rides along in the artifact bundle so a
-# CI run's sharded-plane numbers are inspectable without re-running.
-cp target/BENCH_large_smoke.json "$artifacts/"
+for w in browse drilldown ingest; do
+    cargo run --release --quiet --manifest-path servebench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 2 --trace 0 > "$artifacts/servebench-$w.txt"
+done
 
 echo "==> traced smoke repro (QCAT_TRACE=json) + trace audit (T1-T5)"
 trace=$artifacts/qcat-trace.jsonl
@@ -125,4 +85,4 @@ for w in 1 8; do
         cargo test -q --release --test ingest_stress > /dev/null
 done
 
-echo "OK: build + lint + tests + bench smoke + refinement smoke + large-tier smoke + ingest smoke + observatory + traced smoke + chaos smoke + flight smoke + ingest chaos smoke all green"
+echo "OK: build + lint + tests + servebench self-tests + servebench smoke + traced smoke + chaos smoke + flight smoke + ingest chaos smoke all green"

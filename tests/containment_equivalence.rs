@@ -171,10 +171,10 @@ fn point_range_refinement_is_contained() {
     assert_eq!(served.rows, reference.rows);
 }
 
-/// Stats refreshes are surgical since the epoch split: a workload
-/// append rebuilds the statistics — staling every cached *tree*,
-/// which depends on them — but cached result sets (donors included)
-/// are keyed by the data epoch and survive. The refinement repeats
+/// Stats refreshes are surgical: a workload append is absorbed into
+/// the statistics — staling every cached *tree*, which depends on
+/// them — but cached result sets (donors included) do not depend on
+/// the stats epoch and survive. The refinement repeats
 /// as a result-cache hit whose tree is re-rendered from the
 /// surviving rows, and with an unchanged log the bytes must not
 /// change; the surviving donor keeps answering fresh refinements.
